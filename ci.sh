@@ -23,10 +23,13 @@ sys.exit("registry dependencies: " + ", ".join(bad) if bad else 0)'
 cargo build --release --workspace
 LT_THREADS=1 cargo test -q --workspace
 LT_THREADS=4 cargo test -q --workspace
-# lt-linalg's unit tests once more in the release profile: the unsafe AVX2
-# pair-lane kernel is checked against the scalar oracle as it is built for
-# serving (the test profile keeps debug assertions at opt-level 2).
+# The two unsafe kernels' unit tests once more in the release profile, so
+# each is checked against its oracle as it is built for serving (the test
+# profile keeps debug assertions at opt-level 2): lt-linalg's AVX2
+# pair-lane scan kernel against the scalar kernel, and lightlt-core's
+# PCLMULQDQ CRC32 kernel against slice-by-8 and the byte loop.
 cargo test -q --release -p lt-linalg --lib
+cargo test -q --release -p lightlt-core --lib checksum
 cargo clippy --workspace --all-targets -- -D warnings
 
 # The lt-stack benchmark (BENCHMARK.json) is a package of its own, outside

@@ -4,7 +4,9 @@
 //! the blocked scan engine vs its scalar reference, thread-scaling sweeps of
 //! GEMM and batch ADC search across runtime widths (the kernels are bitwise
 //! deterministic with respect to thread count, so the sweeps measure pure
-//! speedup), and the lt-obs recording overhead on the scan path.
+//! speedup), the lt-obs recording overhead on the scan path, the CRC32
+//! footer check, and loading an index image shaped like lt-stack's
+//! `scan-500k-u8`.
 //!
 //! A std-only runner: each case has one purpose, runs untimed warm-up
 //! iterations and then timed repetitions, and prints the best and mean time
@@ -14,8 +16,12 @@
 
 use std::hint::black_box;
 
+use lightlt_core::checksum::crc32;
 use lightlt_core::search::{adc_search, adc_search_batch, exhaustive_search};
-use lightlt_core::{CodebookTopology, Dsq, LightLt, LightLtConfig, QuantizedIndex};
+use lightlt_core::{
+    deserialize_index, serialize_index, CodebookTopology, Codes, Dsq, LightLt, LightLtConfig,
+    QuantizedIndex,
+};
 use lt_eval::time_best_of;
 use lt_linalg::gemm::matmul;
 use lt_linalg::random::{randn, rng};
@@ -196,11 +202,41 @@ fn serve_metrics() {
     }
 }
 
+/// CRC32 throughput from a wire frame's size to an image's: the check
+/// behind every image, checkpoint, WAL frame and wire frame.
+fn crc() {
+    let mut r = rng(20);
+    for (label, len) in [("4KiB", 4usize << 10), ("256KiB", 256 << 10), ("4MiB", 4 << 20)] {
+        let bytes: Vec<u8> = (0..len).map(|_| r.gen_range(0..256usize) as u8).collect();
+        case(&format!("crc32/{label}"), Some((len as u64, "bytes")), || {
+            black_box(crc32(black_box(&bytes)));
+        });
+    }
+}
+
+/// Loading an index image shaped like lt-stack's `scan-500k-u8` (n 500k,
+/// M 8, K 16, d 64: 2 MB of pair-lane codes and 2 MB of norms): the CRC
+/// footer check, the lane decode and the norms copy. Values do not change
+/// the load's work, so the codes and norms are random.
+fn deserialize() {
+    let (n, m, k, d) = (500_000, 8, 16, 64);
+    let mut r = rng(21);
+    let codebooks = (0..m).map(|_| randn(k, d, &mut r).scale(0.3)).collect();
+    let ids = (0..n * m).map(|_| r.gen_range(0..k) as u16).collect();
+    let norms = (0..n).map(|_| r.gen_range(0.0f32..4.0)).collect();
+    let codes = Codes::new(ids, m);
+    let index = QuantizedIndex::from_parts(codebooks, codes, norms, Metric::NegSquaredL2, d, k);
+    let image = serialize_index(&index);
+    case("deserialize_index/500k_m8_k16_d64", Some((image.len() as u64, "bytes")), || {
+        black_box(deserialize_index(black_box(&image)).expect("the image deserializes"));
+    });
+}
+
 fn main() {
     // `cargo bench` passes `--bench`; a name argument runs only the
     // groups whose name contains it.
     let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-    let groups: [(&str, fn()); 8] = [
+    let groups: [(&str, fn()); 10] = [
         ("search", search),
         ("gemm", gemm),
         ("dsq_encode", dsq_encode),
@@ -209,6 +245,8 @@ fn main() {
         ("adc_batch_threads", adc_batch_threads),
         ("adc_scan", adc_scan),
         ("serve_metrics", serve_metrics),
+        ("crc32", crc),
+        ("deserialize_index", deserialize),
     ];
     println!("warm-up {WARMUP}, {REPS} timed repetitions per case; times are per iteration");
     for (name, run) in groups {

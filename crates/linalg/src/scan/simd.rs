@@ -1,5 +1,6 @@
 //! The AVX2 pair-lane kernel of the quantized scan, and the only `unsafe`
-//! code of the library.
+//! code of `lt-linalg` (the library's other `unsafe` kernel is
+//! `lightlt-core`'s carry-less CRC32).
 //!
 //! A pair lane holds one byte per item: level `2p`'s id in the low nibble,
 //! level `2p + 1`'s in the high one ([`super::Lanes::Pairs`]). Each level's

@@ -37,6 +37,10 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 /// of surfacing and desynchronizing the stream.
 pub const MID_FRAME_STALL: Duration = Duration::from_secs(5);
 
+/// The most [`read_frame`] reserves for a payload before any of it has
+/// arrived.
+const PAYLOAD_STEP: usize = 64 * 1024;
+
 /// Operations a client can request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -750,6 +754,9 @@ fn read_remaining<R: Read>(
 /// than [`MID_FRAME_STALL`] is a hard error (kind `Other`), because the
 /// partially consumed frame makes the stream unrecoverable.
 ///
+/// The payload buffer grows as the payload arrives, so a header alone
+/// never reserves more than 64 KiB.
+///
 /// # Errors
 /// `InvalidData` on an oversized length field or CRC mismatch;
 /// `UnexpectedEof` on mid-frame truncation; `Other` on a mid-frame stall;
@@ -774,8 +781,14 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
             format!("frame length {len} exceeds cap {MAX_FRAME_BYTES}"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    read_remaining(r, &mut payload, 0, "frame payload")?;
+    // `len` is untrusted until the bytes arrive: each step at most doubles
+    // what has been received (the first is at most PAYLOAD_STEP).
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let got = payload.len();
+        payload.resize(got + (len - got).min(got.max(PAYLOAD_STEP)), 0);
+        read_remaining(r, &mut payload, got, "frame payload")?;
+    }
     let mut crc_bytes = [0u8; 4];
     read_remaining(r, &mut crc_bytes, 0, "frame checksum")?;
     let stored = u32::from_le_bytes(crc_bytes);

@@ -2,13 +2,17 @@
 //!
 //! A counting global allocator records the largest single allocation made
 //! on the test's own thread while it decodes forged payloads whose count
-//! fields promise far more elements than the bytes after them can hold.
+//! fields promise far more elements than the bytes after them can hold,
+//! and while it reads a frame whose header promises far more payload than
+//! arrives.
 //! The allocator sits in a test binary of its own, so it measures no other
 //! test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io;
 
+use lt_serve::protocol::{read_frame, MAX_FRAME_BYTES};
 use lt_serve::Response;
 
 /// Largest single allocation a decode of a few forged bytes may make.
@@ -97,4 +101,18 @@ fn forged_counts_do_not_size_allocations() {
         let len = payload.len();
         assert!(seen <= MAX_ALLOC, "{what}: one allocation of {seen} bytes from {len} input bytes");
     }
+}
+
+#[test]
+fn a_frame_header_does_not_size_the_payload_buffer() {
+    // A header promising the largest payload the reader accepts (64 MiB),
+    // 16 payload bytes, then EOF.
+    let header = u32::try_from(MAX_FRAME_BYTES).expect("the cap fits the u32 length field");
+    let stream = [&header.to_le_bytes()[..], &[7; 16]].concat();
+    let mut read = None;
+    let seen = largest_allocation(|| read = Some(read_frame(&mut &stream[..])));
+    let err = read.expect("read").expect_err("a truncated frame read");
+    assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+    let len = stream.len();
+    assert!(seen <= MAX_ALLOC, "one allocation of {seen} bytes from {len} input bytes");
 }
